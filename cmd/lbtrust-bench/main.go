@@ -359,17 +359,15 @@ func runWAL(kind bench.TransportKind, jsonOut, short bool) any {
 
 // serveReport is the machine-readable shape of the serve experiment:
 // queries/sec against a loaded workspace at increasing concurrency
-// (snapshot reads, no writer), plus the locked-vs-snapshot contention A/B
-// under a signing writer.
+// (snapshot reads, no writer).
 type serveReport struct {
-	Experiment string                `json:"experiment"`
-	Short      bool                  `json:"short"`
-	Base       int                   `json:"base"`
-	PerClient  int                   `json:"per_client"`
-	NumCPU     int                   `json:"num_cpu"`
-	ScalingX   float64               `json:"scaling_x"` // top-concurrency QPS / 1-client QPS
-	Scaling    []servePointJSON      `json:"scaling"`
-	Contention []serveContentionJSON `json:"contention"`
+	Experiment string           `json:"experiment"`
+	Short      bool             `json:"short"`
+	Base       int              `json:"base"`
+	PerClient  int              `json:"per_client"`
+	NumCPU     int              `json:"num_cpu"`
+	ScalingX   float64          `json:"scaling_x"` // top-concurrency QPS / 1-client QPS
+	Scaling    []servePointJSON `json:"scaling"`
 }
 
 type servePointJSON struct {
@@ -380,22 +378,12 @@ type servePointJSON struct {
 	P99Ns   int64   `json:"p99_ns"`
 }
 
-type serveContentionJSON struct {
-	Mode          string  `json:"mode"`
-	Clients       int     `json:"clients"`
-	WriterFlushes int64   `json:"writer_flushes"`
-	QPS           float64 `json:"qps"`
-	P50Ns         int64   `json:"p50_ns"`
-	P99Ns         int64   `json:"p99_ns"`
-}
-
 // runServe measures the serving layer: read scaling across 1/4/16
-// concurrent authenticated sessions, and tail latency with a writer
-// committing signed says batches. It returns the JSON report document.
+// concurrent authenticated sessions. It returns the JSON report document.
 func runServe(jsonOut, short bool) any {
-	opts := bench.ServeOptions{Base: 10000, PerClient: 500, Clients: []int{1, 4, 16}, Contention: true}
+	opts := bench.ServeOptions{Base: 10000, PerClient: 500, Clients: []int{1, 4, 16}}
 	if short {
-		opts = bench.ServeOptions{Base: 1000, PerClient: 100, Clients: []int{1, 4, 16}, Contention: true}
+		opts = bench.ServeOptions{Base: 1000, PerClient: 100, Clients: []int{1, 4, 16}}
 	}
 	r, err := bench.RunServe(opts)
 	if err != nil {
@@ -412,12 +400,6 @@ func runServe(jsonOut, short bool) any {
 			P50Ns: p.P50.Nanoseconds(), P99Ns: p.P99.Nanoseconds(),
 		})
 	}
-	for _, c := range r.Contention {
-		report.Contention = append(report.Contention, serveContentionJSON{
-			Mode: c.Mode, Clients: c.Clients, WriterFlushes: c.WriterFlushes,
-			QPS: c.QPS, P50Ns: c.P50.Nanoseconds(), P99Ns: c.P99.Nanoseconds(),
-		})
-	}
 	if jsonOut {
 		return report
 	}
@@ -428,15 +410,6 @@ func runServe(jsonOut, short bool) any {
 			float64(p.P50Ns)/1e3, float64(p.P99Ns)/1e3)
 	}
 	fmt.Printf("\nread scaling (top concurrency vs 1 client): %.2fx\n\n", r.ScalingX)
-	if len(report.Contention) > 0 {
-		fmt.Println("== Contention: reads while a writer commits RSA-signed says batches ==")
-		fmt.Printf("%10s %10s %12s %12s %12s %10s\n", "mode", "clients", "qps", "p50(us)", "p99(us)", "flushes")
-		for _, c := range report.Contention {
-			fmt.Printf("%10s %10d %12.0f %12.1f %12.1f %10d\n", c.Mode, c.Clients, c.QPS,
-				float64(c.P50Ns)/1e3, float64(c.P99Ns)/1e3, c.WriterFlushes)
-		}
-		fmt.Println()
-	}
 	return report
 }
 

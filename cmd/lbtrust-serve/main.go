@@ -106,7 +106,7 @@ func run() error {
 		audit := lbtrust.NewAuditLog(0, logger)
 		bundle = &lbtrust.Obs{Registry: reg, Log: logger, Tracer: lbtrust.NewTracer(4096), AuditLog: audit}
 		var err error
-		if admin, err = lbtrust.ServeAdminAudit(*adminAddr, reg, audit); err != nil {
+		if admin, err = lbtrust.ServeAdmin(*adminAddr, reg, audit); err != nil {
 			return err
 		}
 		defer admin.Close()

@@ -53,12 +53,6 @@ type Figure2Series struct {
 	Points []Figure2Point
 }
 
-// Figure2Setup prepares the two-principal system of the paper's micro
-// benchmark (Section 6) on the in-memory transport.
-func Figure2Setup(scheme core.Scheme) (*core.System, *core.Principal, *core.Principal, error) {
-	return Figure2SetupOn(TransportMem, scheme)
-}
-
 // Figure2SetupOn prepares the Figure 2 system over the given transport:
 // alice and bob on separate nodes, keys established, the given scheme
 // active on both, bob trusting alice's statements. Callers must Close the
@@ -166,12 +160,6 @@ func RunFigure2PointOn(kind TransportKind, scheme core.Scheme, n int) (Figure2Po
 		WireMessages: wire.MessagesSent,
 		WireBytes:    wire.BytesSent,
 	}, nil
-}
-
-// RunFigure2 sweeps message counts for one scheme on the in-memory
-// transport.
-func RunFigure2(scheme core.Scheme, counts []int) (*Figure2Series, error) {
-	return RunFigure2On(TransportMem, scheme, counts)
 }
 
 // RunFigure2On sweeps message counts for one scheme over the given

@@ -71,7 +71,7 @@ func obsBundle() *obs.Obs {
 
 // runObsArm measures one round of one arm on a fresh system.
 func runObsArm(opts ObsOptions, o *obs.Obs) (ServePoint, error) {
-	sys, srv, err := serveSystemOpts(opts.Base, server.Options{Obs: o})
+	sys, srv, err := serveSystem(opts.Base, server.Options{Obs: o})
 	if err != nil {
 		return ServePoint{}, err
 	}

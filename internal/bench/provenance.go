@@ -72,7 +72,7 @@ type ProvenanceResult struct {
 // into. Returns the measured point plus the receiver workspace's
 // provenance stats (zeros when capture is off).
 func runProvArm(opts ProvenanceOptions, enabled bool) (ServePoint, int, int64, int64, error) {
-	sys, srv, err := serveSystemOpts(opts.Base, server.Options{Provenance: enabled})
+	sys, srv, err := serveSystem(opts.Base, server.Options{Provenance: enabled})
 	if err != nil {
 		return ServePoint{}, 0, 0, 0, err
 	}

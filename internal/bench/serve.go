@@ -1,7 +1,5 @@
 // Serve-throughput benchmark: queries/sec against a loaded workspace at
-// increasing client concurrency, plus an A/B contention run showing what
-// snapshot reads buy — readers that no longer serialize behind the
-// workspace lock while a writer flushes.
+// increasing client concurrency.
 package bench
 
 import (
@@ -25,9 +23,6 @@ type ServeOptions struct {
 	PerClient int
 	// Clients lists the concurrency levels to measure (e.g. 1, 4, 16).
 	Clients []int
-	// Contention additionally measures locked vs snapshot reads under a
-	// concurrent writer (at the highest client count).
-	Contention bool
 }
 
 // ServePoint is one measured concurrency level.
@@ -40,15 +35,6 @@ type ServePoint struct {
 	P99      time.Duration
 }
 
-// ServeContention is one arm of the locked-vs-snapshot A/B: the same
-// client load with a writer continuously committing transactions.
-type ServeContention struct {
-	Mode          string // "locked" or "snapshot"
-	Clients       int
-	WriterFlushes int64
-	ServePoint
-}
-
 // ServeResult is the full serve experiment output.
 type ServeResult struct {
 	Base      int
@@ -57,24 +43,12 @@ type ServeResult struct {
 	Scaling []ServePoint
 	// ScalingX is top-concurrency QPS over single-client QPS.
 	ScalingX float64
-	// Contention holds the A/B arms (empty unless requested).
-	Contention []ServeContention
 }
-
-// contentionWindow is how long each contention arm runs its readers: long
-// enough to overlap dozens of writer flushes, short enough for CI.
-const contentionWindow = 2 * time.Second
 
 // serveSystem builds a system with a loaded principal (alice, RSA-signed
-// says) and a server in front of it. bob exists as a destination for the
-// contention writer's statements.
-func serveSystem(base int, locked bool) (*core.System, *server.Server, error) {
-	return serveSystemOpts(base, server.Options{LockedReads: locked})
-}
-
-// serveSystemOpts is serveSystem with full control of the server
-// options (the obs experiment passes an observability bundle through).
-func serveSystemOpts(base int, opts server.Options) (*core.System, *server.Server, error) {
+// says) and a server with the given options in front of it. bob exists
+// as a destination for writers' statements.
+func serveSystem(base int, opts server.Options) (*core.System, *server.Server, error) {
 	sys := core.NewSystem()
 	p, err := sys.AddPrincipal("alice")
 	if err != nil {
@@ -201,11 +175,8 @@ func runServePoint(sys *core.System, srv *server.Server, clients, perClient, bas
 	}, nil
 }
 
-// RunServe measures serve throughput. The scaling series runs snapshot
-// reads with no writer; the contention series (optional) re-runs the top
-// concurrency level twice — locked reads vs snapshot reads — while a
-// writer continuously commits 50-fact transactions, exposing how much of
-// a reader's tail latency is spent serialized behind flushes.
+// RunServe measures serve throughput: snapshot reads with no writer at
+// each configured concurrency level.
 func RunServe(opts ServeOptions) (*ServeResult, error) {
 	if opts.Base <= 0 {
 		opts.Base = 10000
@@ -218,7 +189,7 @@ func RunServe(opts ServeOptions) (*ServeResult, error) {
 	}
 	res := &ServeResult{Base: opts.Base, PerClient: opts.PerClient}
 	for _, n := range opts.Clients {
-		sys, srv, err := serveSystem(opts.Base, false)
+		sys, srv, err := serveSystem(opts.Base, server.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -233,78 +204,5 @@ func RunServe(opts ServeOptions) (*ServeResult, error) {
 	if len(res.Scaling) > 1 && res.Scaling[0].QPS > 0 {
 		res.ScalingX = res.Scaling[len(res.Scaling)-1].QPS / res.Scaling[0].QPS
 	}
-	if opts.Contention {
-		top := opts.Clients[len(opts.Clients)-1]
-		for _, locked := range []bool{true, false} {
-			arm, err := runContentionArm(opts, top, locked)
-			if err != nil {
-				return nil, err
-			}
-			res.Contention = append(res.Contention, arm)
-		}
-	}
 	return res, nil
-}
-
-// runContentionArm measures one locked-or-snapshot arm under a
-// continuous writer.
-func runContentionArm(opts ServeOptions, clients int, locked bool) (ServeContention, error) {
-	sys, srv, err := serveSystem(opts.Base, locked)
-	if err != nil {
-		return ServeContention{}, err
-	}
-	defer func() {
-		srv.Close()
-		sys.Close()
-	}()
-	p, _ := sys.Principal("alice")
-	stop := make(chan struct{})
-	writerDone := make(chan struct{})
-	var flushes int64
-	go func() {
-		defer close(writerDone)
-		// A paced writer committing the trust workload's natural flush: a
-		// batch of says statements whose exports the RSA scheme signs
-		// *inside* the transaction, so each flush holds the workspace lock
-		// for the batch's signing duration (milliseconds) while its delta
-		// stays a few dozen tuples. Locked readers stall behind every
-		// signing batch; snapshot readers keep answering off the published
-		// view.
-		ticker := time.NewTicker(25 * time.Millisecond)
-		defer ticker.Stop()
-		seq := 0
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-			}
-			batch := make([]string, 16)
-			for i := range batch {
-				seq++
-				batch[i] = fmt.Sprintf("note(%d).", seq)
-			}
-			if err := p.SayAll("bob", batch); err != nil {
-				return
-			}
-			flushes++
-		}
-	}()
-	// Duration-bound so readers overlap many writer flushes regardless of
-	// how fast the machine answers queries.
-	pt, err := runServePoint(sys, srv, clients, opts.PerClient, opts.Base, contentionWindow)
-	close(stop)
-	<-writerDone
-	if err != nil {
-		mode := "snapshot"
-		if locked {
-			mode = "locked"
-		}
-		return ServeContention{}, fmt.Errorf("bench: contention arm %s: %w", mode, err)
-	}
-	mode := "snapshot"
-	if locked {
-		mode = "locked"
-	}
-	return ServeContention{Mode: mode, Clients: clients, WriterFlushes: flushes, ServePoint: pt}, nil
 }

@@ -72,13 +72,6 @@ func (p *Principal) SetDelegationWidth(to, pred, group string) error {
 	})
 }
 
-// GrantRead grants mayRead(to, pred) in this principal's context.
-func (p *Principal) GrantRead(to, pred string) error {
-	return p.ws.Update(func(tx *workspace.Tx) error {
-		return tx.Assert(fmt.Sprintf("mayRead(%s, %s)", to, pred))
-	})
-}
-
 // GrantWrite grants mayWrite(to, pred) in this principal's context.
 func (p *Principal) GrantWrite(to, pred string) error {
 	return p.ws.Update(func(tx *workspace.Tx) error {

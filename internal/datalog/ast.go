@@ -85,10 +85,6 @@ type Atom struct {
 	Pos     Pos  // source position of the functor token; zero if synthetic
 }
 
-// Functor returns the concrete predicate name, or "" when the functor is a
-// metavariable.
-func (a *Atom) Functor() string { return a.Pred }
-
 // Arity returns the number of argument positions, counting the partition
 // argument, which is stored as the leading column of curried relations.
 func (a *Atom) Arity() int {

@@ -85,11 +85,11 @@ func TestRunDeltaPropagatesAcrossStrata(t *testing.T) {
 	}
 }
 
-// TestOnDeriveObservesEveryDerivation distinguishes OnDerive from Trace:
-// Trace fires once per newly inserted tuple, OnDerive once per successful
-// body instantiation, so re-derivations (here the same head through two
-// rules) are visible with their distinct premise sets.
-func TestOnDeriveObservesEveryDerivation(t *testing.T) {
+// TestObserveSeesEveryDerivation checks the observer contract: one call
+// per successful body instantiation, after the insert attempt, so the
+// same head derived through two rules gives two calls with distinct
+// premise sets, and exactly one of them reports the tuple as fresh.
+func TestObserveSeesEveryDerivation(t *testing.T) {
 	prog := MustParseProgram(`
 		p(X) <- a(X).
 		p(X) <- b(X).
@@ -102,11 +102,16 @@ func TestOnDeriveObservesEveryDerivation(t *testing.T) {
 	db.Rel("a", 1).Insert(NewTuple(Sym("x")))
 	db.Rel("b", 1).Insert(NewTuple(Sym("x")))
 
-	traced, derived := 0, 0
+	fresh, derived := 0, 0
 	var preds []string
-	ev.Trace = func(pred string, tu Tuple, r *Rule, premises []Premise) { traced++ }
-	ev.OnDerive = func(pred string, tu Tuple, r *Rule, premises []Premise) {
+	ev.Observe = func(pred string, tu Tuple, r *Rule, premises []Premise, isFresh bool) {
 		derived++
+		if isFresh {
+			fresh++
+		}
+		if rel, _ := db.Get(pred); !rel.Contains(tu) {
+			t.Errorf("observed %s%s before its insert", pred, tu.String())
+		}
 		for _, pr := range premises {
 			preds = append(preds, pr.Pred)
 		}
@@ -114,11 +119,11 @@ func TestOnDeriveObservesEveryDerivation(t *testing.T) {
 	if err := ev.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if traced != 1 {
-		t.Errorf("Trace fired %d times, want 1 (single fresh tuple)", traced)
+	if fresh != 1 {
+		t.Errorf("fresh=true %d times, want 1 (single fresh tuple)", fresh)
 	}
 	if derived != 2 {
-		t.Errorf("OnDerive fired %d times, want 2 (one per deriving rule)", derived)
+		t.Errorf("Observe fired %d times, want 2 (one per deriving rule)", derived)
 	}
 	joined := strings.Join(preds, ",")
 	if !strings.Contains(joined, "a") || !strings.Contains(joined, "b") {

@@ -14,10 +14,6 @@ type Premise struct {
 	Tuple Tuple
 }
 
-// TraceFunc observes each newly derived tuple together with the rule and
-// the body facts that produced it.
-type TraceFunc func(pred string, t Tuple, r *Rule, premises []Premise)
-
 // ErrNeedsFullEval is returned by RunDelta when the incremental update
 // touches predicates consulted under negation or aggregation, in which case
 // the caller must re-run full evaluation.
@@ -29,20 +25,21 @@ var ErrNeedsFullEval = errors.New("datalog: incremental update affects negation 
 type Evaluator struct {
 	DB       *Database
 	Builtins *BuiltinSet
-	// Trace, when set, observes every derivation for provenance capture.
-	Trace TraceFunc
-	// OnNew, when set, observes every tuple newly inserted into DB by
-	// evaluation (derived tuples only; base assertions go through the
-	// caller). The workspace uses it to expose per-flush deltas to flush
-	// observers without rescanning relations.
-	OnNew func(pred string, t Tuple)
-	// OnDerive, when set, observes every successful body instantiation —
-	// including re-derivations of tuples already present in DB, which Trace
-	// suppresses. The workspace's constraint checker uses it to collect the
-	// complete premise set of every violation, so full and delta evaluation
-	// report identical (deduplicated) violations regardless of which
-	// derivation the tuple-level insert happens to see first.
-	OnDerive TraceFunc
+	// Observe, when set, is called once per successful body instantiation,
+	// after the insert attempt of its head tuple t of pred: r is the rule
+	// and premises the body facts that matched (none for aggregation
+	// rules). fresh reports whether the insert added t; re-derivations of
+	// tuples already present arrive with fresh false. A budget trip on a
+	// fresh tuple fails evaluation before Observe sees it. premises is the
+	// evaluator's scratch slice, valid only during the call: an observer
+	// that keeps premises must copy them.
+	//
+	// The workspace collects per-flush deltas from the fresh calls and
+	// provenance from every call. Its constraint checker collects the
+	// premise set of every violation derivation, so full and delta
+	// evaluation report identical violations whichever derivation inserts
+	// the tuple first.
+	Observe func(pred string, t Tuple, r *Rule, premises []Premise, fresh bool)
 	// SafeNeg, when set, reports predicates whose growth can only suppress
 	// derivations of the rules that negate them (the caller guarantees the
 	// semantics). RunDelta's needs-full-eval classification skips negated
@@ -319,29 +316,22 @@ func (ev *Evaluator) runStratum(s int, seed map[string]*Relation) error {
 	emit := func(cr *compiledRule) func(t Tuple, premises []Premise) error {
 		pred := cr.head.Pred
 		return func(t Tuple, premises []Premise) error {
-			if ev.OnDerive != nil {
-				ev.OnDerive(pred, t, cr.src, premises)
-			}
-			rel := ev.DB.Rel(pred, t.Len())
-			if !rel.Insert(t) {
-				return nil
-			}
-			if ev.Budget != nil {
-				if err := ev.Budget.derive(t); err != nil {
-					return err
+			fresh := ev.DB.Rel(pred, t.Len()).Insert(t)
+			if fresh {
+				if ev.Budget != nil {
+					if err := ev.Budget.derive(t); err != nil {
+						return err
+					}
 				}
+				d := newDelta[pred]
+				if d == nil {
+					d = NewRelation(pred, t.Len())
+					newDelta[pred] = d
+				}
+				d.Insert(t)
 			}
-			d := newDelta[pred]
-			if d == nil {
-				d = NewRelation(pred, t.Len())
-				newDelta[pred] = d
-			}
-			d.Insert(t)
-			if ev.OnNew != nil {
-				ev.OnNew(pred, t)
-			}
-			if ev.Trace != nil {
-				ev.Trace(pred, t, cr.src, premises)
+			if ev.Observe != nil {
+				ev.Observe(pred, t, cr.src, premises, fresh)
 			}
 			return nil
 		}
@@ -476,7 +466,7 @@ func (cr *compiledRule) forcedPlan(j int, builtins *BuiltinSet) ([]int, error) {
 func (ev *Evaluator) evalRule(cr *compiledRule, order []int, forced int, delta *Relation, out func(Tuple, []Premise) error) error {
 	en := newEnv()
 	var premises []Premise
-	collect := ev.Trace != nil || ev.OnDerive != nil
+	collect := ev.Observe != nil
 	bud := ev.Budget
 
 	var step func(k int) error
@@ -486,17 +476,13 @@ func (ev *Evaluator) evalRule(cr *compiledRule, order []int, forced int, delta *
 			if err != nil {
 				return err
 			}
-			var ps []Premise
-			if collect {
-				ps = append(ps, premises...)
-			}
-			return out(t, ps)
+			return out(t, premises)
 		}
 		j := order[k]
 		lit := cr.body[j]
 		name := lit.Atom.Pred
 		if b, ok := ev.Builtins.Get(name); ok {
-			return ev.stepBuiltin(b, &lit, en, collect, &premises, func() error { return step(k + 1) })
+			return ev.stepBuiltin(b, &lit, en, func() error { return step(k + 1) })
 		}
 		if lit.Negated {
 			exists, err := ev.negExists(&lit.Atom, en)
@@ -569,7 +555,7 @@ func (ev *Evaluator) evalRule(cr *compiledRule, order []int, forced int, delta *
 	return step(0)
 }
 
-func (ev *Evaluator) stepBuiltin(b *Builtin, lit *Literal, en *env, collect bool, premises *[]Premise, next func() error) error {
+func (ev *Evaluator) stepBuiltin(b *Builtin, lit *Literal, en *env, next func() error) error {
 	args := lit.Atom.AllArgs()
 	if len(args) != b.Arity {
 		return fmt.Errorf("built-in %s expects %d arguments, got %d", b.Name, b.Arity, len(args))
@@ -707,8 +693,7 @@ func (ev *Evaluator) evalAggRule(cr *compiledRule, out func(Tuple, []Premise) er
 		j := cr.plan[k]
 		lit := cr.body[j]
 		if b, ok := ev.Builtins.Get(lit.Atom.Pred); ok {
-			var dummy []Premise
-			return ev.stepBuiltin(b, &lit, en, false, &dummy, func() error { return step(k + 1) })
+			return ev.stepBuiltin(b, &lit, en, func() error { return step(k + 1) })
 		}
 		if lit.Negated {
 			exists, err := ev.negExists(&lit.Atom, en)

@@ -576,9 +576,6 @@ func (r *Relation) Freeze() {
 	r.frozen = true
 }
 
-// Frozen reports whether the relation has been frozen.
-func (r *Relation) Frozen() bool { return r.frozen }
-
 // StorageStats describes a relation's physical layout, for benchmarks
 // and tests that assert copy-on-write behavior.
 type StorageStats struct {

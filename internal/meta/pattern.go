@@ -234,16 +234,3 @@ func argPatternLits(atomTerm datalog.Term, position int, t datalog.Term, fresh f
 func pos(pred string, args ...datalog.Term) datalog.Literal {
 	return datalog.Literal{Atom: datalog.Atom{Pred: pred, Args: args}}
 }
-
-// HasPattern reports whether a rule's body contains quoted-code terms that
-// TranslatePatterns would rewrite.
-func HasPattern(r *datalog.Rule) bool {
-	for _, lit := range r.Body {
-		for _, t := range lit.Atom.AllArgs() {
-			if _, ok := t.(datalog.Quote); ok {
-				return true
-			}
-		}
-	}
-	return false
-}

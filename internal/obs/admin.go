@@ -17,16 +17,11 @@ type AdminServer struct {
 	srv *http.Server
 }
 
-// ServeAdmin starts the admin endpoint on addr (e.g. "127.0.0.1:0").
-// The pprof handlers are mounted on this private mux explicitly —
+// ServeAdmin starts the admin endpoint on addr (e.g. "127.0.0.1:0"),
+// mounting the authorization audit ring at /debug/audit when audit is
+// non-nil. The pprof handlers are mounted on this private mux explicitly —
 // nothing is registered on http.DefaultServeMux.
-func ServeAdmin(addr string, reg *Registry) (*AdminServer, error) {
-	return ServeAdminAudit(addr, reg, nil)
-}
-
-// ServeAdminAudit is ServeAdmin additionally mounting the authorization
-// audit ring at /debug/audit (omitted when audit is nil).
-func ServeAdminAudit(addr string, reg *Registry, audit *AuditLog) (*AdminServer, error) {
+func ServeAdmin(addr string, reg *Registry, audit *AuditLog) (*AdminServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: admin listen %s: %w", addr, err)

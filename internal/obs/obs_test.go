@@ -183,7 +183,7 @@ func TestTracerNilAndRing(t *testing.T) {
 func TestAdminServer(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("admin_test_total", "h").Inc()
-	a, err := ServeAdmin("127.0.0.1:0", r)
+	a, err := ServeAdmin("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

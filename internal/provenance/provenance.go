@@ -2,7 +2,7 @@
 // per-workspace derivation DAG mapping each derived tuple to the rule and
 // premise tuples that produced it, plus remote-origin leaves for tuples
 // that arrived over dist Sync. The store is fed by the evaluator's
-// OnDerive hook (every successful body instantiation, pre-dedup), so
+// Observe hook (every successful body instantiation, pre-dedup), so
 // attaching it to a workspace after load and re-running evaluation
 // re-captures the complete DAG — which is also how provenance survives
 // retraction-driven rebuilds and crash recovery: entries are never
@@ -81,11 +81,11 @@ type Store struct {
 	derivs  map[string][]Derivation
 	remotes map[string]Remote
 	// seen holds the full fact+derivation keys already recorded, so the
-	// hot path (OnDerive fires pre-dedup on every fixpoint revisit)
+	// hot path (Observe fires pre-dedup on every fixpoint revisit)
 	// dedups with one map probe instead of re-keying stored entries.
 	seen map[string]struct{}
 	// ruleStr memoizes Rule.String() by pointer: rules are shared with
-	// the loaded rule set, and formatting one per OnDerive call would
+	// the loaded rule set, and formatting one per Observe call would
 	// dominate capture cost.
 	ruleStr   map[*datalog.Rule]string
 	limit     int64 // cap on memUsed, in TupleCost bytes
@@ -112,7 +112,7 @@ func NewStore(limitBytes int64) *Store {
 func key(pred string, t datalog.Tuple) string { return pred + "\x00" + t.Key() }
 
 // derivationKey canonically identifies one derivation of a fact, for
-// dedup: OnDerive fires on every instantiation, and fixpoint iteration
+// dedup: Observe fires on every instantiation, and fixpoint iteration
 // revisits the same (rule, premises) many times.
 func derivationKey(r *datalog.Rule, premises []datalog.Premise) string {
 	k := r.Label + "\x00" + r.String()
@@ -122,8 +122,10 @@ func derivationKey(r *datalog.Rule, premises []datalog.Premise) string {
 	return k
 }
 
-// Record stores one derivation step. Its signature matches
-// datalog.TraceFunc so it can be attached directly to Evaluator.OnDerive.
+// Record stores one derivation step, as reported by the evaluator's
+// Observe hook. premises may be the evaluator's scratch slice: Record
+// copies what it keeps, so the caller may reuse the slice once Record
+// returns.
 func (s *Store) Record(pred string, t datalog.Tuple, r *datalog.Rule, premises []datalog.Premise) {
 	if s == nil || r == nil {
 		return
@@ -162,8 +164,6 @@ func (s *Store) Record(pred string, t datalog.Tuple, r *datalog.Rule, premises [
 	}
 	s.seen[full] = struct{}{}
 	s.memUsed += cost
-	// Copy the premise slice: the evaluator reuses its backing array
-	// across instantiations.
 	ps := make([]datalog.Premise, len(premises))
 	copy(ps, premises)
 	k := key(pred, t)

@@ -51,7 +51,7 @@ func TestRecordDedups(t *testing.T) {
 	r := mkRule(t, "tc: path(X, Z) <- edge(X, Y), path(Y, Z).")
 	prem := []datalog.Premise{{Pred: "edge", Tuple: tup(sym("a"), sym("b"))}}
 	head := tup(sym("a"), sym("b"))
-	// Fixpoint iteration re-fires OnDerive with the same instantiation.
+	// Fixpoint iteration re-fires Observe with the same instantiation.
 	s.Record("path", head, r, prem)
 	_, used1, _, _ := s.Stats()
 	s.Record("path", head, r, prem)
@@ -61,6 +61,32 @@ func TestRecordDedups(t *testing.T) {
 	}
 	if ds := s.Derivations("path", head); len(ds) != 1 {
 		t.Fatalf("expected 1 deduped derivation, got %d", len(ds))
+	}
+}
+
+// TestRecordCopiesScratchPremises guards the Observe contract: premises
+// is the evaluator's scratch slice, overwritten by the next
+// instantiation, so Record must keep its own copy.
+func TestRecordCopiesScratchPremises(t *testing.T) {
+	s := NewStore(0)
+	r := mkRule(t, "tc: path(X, Z) <- edge(X, Y), path(Y, Z).")
+	head := tup(sym("a"), sym("c"))
+	scratch := []datalog.Premise{
+		{Pred: "edge", Tuple: tup(sym("a"), sym("b"))},
+		{Pred: "path", Tuple: tup(sym("b"), sym("c"))},
+	}
+	s.Record("path", head, r, scratch)
+	scratch[0] = datalog.Premise{Pred: "edge", Tuple: tup(sym("x"), sym("y"))}
+	scratch[1] = datalog.Premise{Pred: "bogus", Tuple: tup(sym("y"), sym("z"))}
+
+	ds := s.Derivations("path", head)
+	if len(ds) != 1 {
+		t.Fatalf("expected 1 derivation, got %d", len(ds))
+	}
+	got := ds[0].Premises
+	if len(got) != 2 || got[0].Pred != "edge" || !got[0].Tuple.Equal(tup(sym("a"), sym("b"))) ||
+		got[1].Pred != "path" || !got[1].Tuple.Equal(tup(sym("b"), sym("c"))) {
+		t.Fatalf("stored premises changed with the caller's slice: %+v", got)
 	}
 }
 

@@ -552,12 +552,6 @@ func EncodeShips(ships []ShipRecord) *Record {
 	return r
 }
 
-// EncodeShipsPayload is the direct-buffer form of EncodeShips, used on
-// the Sync hot path.
-func EncodeShipsPayload(ships []ShipRecord) []byte {
-	return AppendShipsPayload(nil, ships)
-}
-
 // AppendShipsPayload appends the ship record payload to dst.
 func AppendShipsPayload(dst []byte, ships []ShipRecord) []byte {
 	buf := append(dst, KindShip...)

@@ -237,9 +237,6 @@ func generations(dir string) ([]uint64, error) {
 	return out, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Seq returns the current snapshot/log generation number; Checkpoint
 // increments it.
 func (s *Store) Seq() uint64 {
@@ -259,9 +256,6 @@ func (s *Store) LogSize() int64 {
 	}
 	return s.wal.Size()
 }
-
-// Policy returns the configured fsync policy.
-func (s *Store) Policy() FsyncPolicy { return s.opts.Fsync }
 
 // Append logs one record. Under FsyncAlways it returns after the record
 // is durable (sharing the batch's fsync with concurrent appenders);

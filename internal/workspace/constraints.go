@@ -384,7 +384,7 @@ func (w *Workspace) filterCheckDeltaLocked(delta map[string][]datalog.Tuple) map
 // violation sets for the same database state.
 func (w *Workspace) runChecksLocked(seed map[string][]datalog.Tuple) ([]Violation, error) {
 	var raw []Violation
-	w.checkEv.OnDerive = func(pred string, t datalog.Tuple, r *datalog.Rule, premises []datalog.Premise) {
+	w.checkEv.Observe = func(pred string, t datalog.Tuple, r *datalog.Rule, premises []datalog.Premise, _ bool) {
 		switch pred {
 		case failPred:
 			label := ""
@@ -406,7 +406,7 @@ func (w *Workspace) runChecksLocked(seed map[string][]datalog.Tuple) ([]Violatio
 	} else {
 		err = w.checkEv.RunDelta(seed)
 	}
-	w.checkEv.OnDerive = nil
+	w.checkEv.Observe = nil
 	if err != nil {
 		return nil, err
 	}

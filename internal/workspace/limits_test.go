@@ -63,6 +63,9 @@ func TestSnapshotQueryLimitTrips(t *testing.T) {
 	if _, err := snap.Query("a(X)"); datalog.ErrCode(err) != datalog.CodeLimitGas {
 		t.Fatalf("snapshot query err = %v, want %s", err, datalog.CodeLimitGas)
 	}
+	if _, st, err := snap.QueryStats("a(X)"); datalog.ErrCode(err) != datalog.CodeLimitGas || st.Gas <= 0 {
+		t.Fatalf("snapshot QueryStats err = %v gas = %d, want %s with gas counted", err, st.Gas, datalog.CodeLimitGas)
+	}
 	// Snapshots published before SetLimits keep their unlimited view.
 	if rows, err := before.Query("a(X)"); err != nil || len(rows) != 200 {
 		t.Fatalf("pre-limit snapshot: %v rows=%d", err, len(rows))

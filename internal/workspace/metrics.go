@@ -63,8 +63,7 @@ func (w *Workspace) SetObs(o *obs.Obs) {
 	} else {
 		w.log = o.Logger("workspace").With("principal", string(w.principal))
 	}
-	w.userEv.Metrics = w.metrics.evalMetrics()
-	w.checkEv.Metrics = w.metrics.evalMetrics()
+	w.wireEvaluatorsLocked()
 	// Published snapshots captured the old metrics; republish.
 	w.snapAll = true
 	w.snapClean.Store(false)

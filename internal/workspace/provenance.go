@@ -10,7 +10,7 @@ import (
 )
 
 // This file wires the provenance subsystem (internal/provenance) into the
-// workspace lifecycle: capture through the evaluator's OnDerive hook,
+// workspace lifecycle: capture through the evaluator's observer,
 // re-capture across retraction-driven rebuilds, proof construction down
 // to base facts and remote Sync leaves, and independent verification of
 // every returned proof against the loaded rules.
@@ -18,8 +18,8 @@ import (
 // EnableProvenance switches on derivation recording, bounded by
 // limitBytes of datalog.TupleCost accounting (<= 0 selects
 // provenance.DefaultMemBytes). It may be called at any point in the
-// workspace's life: the evaluator's OnDerive hook fires on every
-// successful body instantiation — not just fresh inserts — so the full
+// workspace's life: the evaluator's observer sees every successful body
+// instantiation — not just fresh inserts — so the full
 // evaluation run performed here re-captures derivations for state loaded
 // before the call (this is also how proofs reappear after crash
 // recovery: replayed state is re-derived, never journaled).
@@ -27,7 +27,6 @@ func (w *Workspace) EnableProvenance(limitBytes int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.prov = provenance.NewStore(limitBytes)
-	w.userEv.OnDerive = w.prov.Record
 	return w.userEv.Run()
 }
 
@@ -71,7 +70,7 @@ func (w *Workspace) explainLocked(pred string, t datalog.Tuple) (*provenance.Pro
 
 // derivedRuleCodesLocked maps each engine rule installed through the
 // active table (a derived activation, e.g. via says1) to the code value
-// that activated it, keyed by the rule text OnDerive reports.
+// that activated it, keyed by the rule text the observer reports.
 func (w *Workspace) derivedRuleCodesLocked() map[string]datalog.Code {
 	var m map[string]datalog.Code
 	for _, k := range w.activeOrder {
@@ -135,11 +134,7 @@ func (w *Workspace) ExplainQuery(src string) ([]*provenance.Proof, error) {
 	if w.prov == nil {
 		return nil, fmt.Errorf("workspace: provenance not enabled for %s", w.principal)
 	}
-	if b := w.queryLimits.NewBudget(); b != nil {
-		w.userEv.Budget = b
-		defer func() { w.userEv.Budget = nil }()
-	}
-	rows, err := w.userEv.Query(atom)
+	rows, err := queryAtom(w.db, w.builtins, atom, w.queryLimits.NewBudget(), w.metrics.evalMetrics())
 	if err != nil {
 		return nil, err
 	}
@@ -152,22 +147,6 @@ func (w *Workspace) ExplainQuery(src string) ([]*provenance.Proof, error) {
 	}
 	provenance.SortProofs(proofs)
 	return proofs, nil
-}
-
-// EngineRules returns the translated rules currently loaded into the
-// user evaluator — the rule set provenance steps reference. Proof
-// verifiers check each step's rule is (textually) one of these.
-func (w *Workspace) EngineRules() []*datalog.Rule {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var out []*datalog.Rule
-	for _, k := range w.activeOrder {
-		e := w.active[k]
-		if !e.isCheck {
-			out = append(out, e.translated.SplitHeads()...)
-		}
-	}
-	return out
 }
 
 // VerifyProof independently checks a proof returned by Explain, without

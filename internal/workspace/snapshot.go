@@ -50,8 +50,7 @@ func (s *Snapshot) Principal() datalog.Sym { return s.principal }
 
 // parseQueryAtom is the query preamble shared by the live path
 // (Workspace.Query) and snapshot reads: parse, require a single atom,
-// specialize me to the principal. Both paths must stay in lockstep — the
-// server exposes them as two modes of the same verb.
+// specialize me to the principal.
 func parseQueryAtom(src string, principal datalog.Sym) (*datalog.Atom, error) {
 	clause, err := datalog.ParseClause(strings.TrimRight(strings.TrimSpace(src), ".") + ".")
 	if err != nil {
@@ -66,17 +65,8 @@ func parseQueryAtom(src string, principal datalog.Sym) (*datalog.Atom, error) {
 // Query evaluates a single atom against the snapshot, in the same surface
 // syntax as Workspace.Query (quoted-code arguments act as patterns).
 func (s *Snapshot) Query(src string) ([]datalog.Tuple, error) {
-	atom, err := parseQueryAtom(src, s.principal)
-	if err != nil {
-		return nil, err
-	}
-	if !atomHasQuote(atom) {
-		ev := datalog.NewEvaluator(s.db, s.builtins)
-		ev.Metrics = s.eval
-		ev.Budget = s.limits.NewBudget()
-		return ev.Query(atom)
-	}
-	return queryPattern(s.db, s.builtins, atom, s.limits, s.eval)
+	rows, _, err := s.QueryStats(src)
+	return rows, err
 }
 
 // QueryStats is Query additionally reporting the read's evaluation cost.
@@ -92,15 +82,7 @@ func (s *Snapshot) QueryStats(src string) ([]datalog.Tuple, EvalStats, error) {
 	if b == nil {
 		b = new(datalog.Budget)
 	}
-	var rows []datalog.Tuple
-	if !atomHasQuote(atom) {
-		ev := datalog.NewEvaluator(s.db, s.builtins)
-		ev.Metrics = s.eval
-		ev.Budget = b
-		rows, err = ev.Query(atom)
-	} else {
-		rows, err = queryPatternBudget(s.db, s.builtins, atom, b, s.eval)
-	}
+	rows, err := queryAtom(s.db, s.builtins, atom, b, s.eval)
 	return rows, EvalStats{Gas: b.Steps(), Derived: b.Derived()}, err
 }
 
@@ -235,19 +217,26 @@ func (w *Workspace) markSnapStaleLocked(changed map[string][]datalog.Tuple, rebu
 	w.snapClean.Store(false)
 }
 
+// queryAtom evaluates one parsed query atom against db under the
+// caller's budget (nil for unbounded), counting the run in em. It is the
+// single evaluation body behind the locked live path (Workspace.Query)
+// and lock-free snapshot reads.
+func queryAtom(db *datalog.Database, builtins *datalog.BuiltinSet, a *datalog.Atom, bud *datalog.Budget, em *datalog.EvalMetrics) ([]datalog.Tuple, error) {
+	if atomHasQuote(a) {
+		return queryPattern(db, builtins, a, bud, em)
+	}
+	ev := datalog.NewEvaluator(db, builtins)
+	ev.Metrics = em
+	ev.Budget = bud
+	return ev.Query(a)
+}
+
 // queryPattern evaluates an atom whose arguments contain quoted-code
 // patterns by compiling it into a transient rule, translating the
 // patterns into meta-model literals, and running it against an overlay of
 // the given database. The overlay keeps the transient result relation out
-// of the shared database, so the same code serves the locked live path
-// and lock-free snapshot reads.
-func queryPattern(db *datalog.Database, builtins *datalog.BuiltinSet, a *datalog.Atom, limits datalog.Limits, em *datalog.EvalMetrics) ([]datalog.Tuple, error) {
-	return queryPatternBudget(db, builtins, a, limits.NewBudget(), em)
-}
-
-// queryPatternBudget is queryPattern with the caller owning the budget
-// (possibly nil), so stats-reporting paths can read the counters back.
-func queryPatternBudget(db *datalog.Database, builtins *datalog.BuiltinSet, a *datalog.Atom, bud *datalog.Budget, em *datalog.EvalMetrics) ([]datalog.Tuple, error) {
+// of the shared database.
+func queryPattern(db *datalog.Database, builtins *datalog.BuiltinSet, a *datalog.Atom, bud *datalog.Budget, em *datalog.EvalMetrics) ([]datalog.Tuple, error) {
 	// Blank variables cannot appear in rule heads; name them apart.
 	q := *a
 	q.Args = append([]datalog.Term{}, a.Args...)

@@ -147,17 +147,36 @@ func TestSnapshotPatternQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := w.Snapshot()
-	const q = `says(alice, me, [| access(U, F, read). |])`
-	live, err := w.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ro, err := snap.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(live) != 1 || fmt.Sprint(tupleKeys(live)) != fmt.Sprint(tupleKeys(ro)) {
-		t.Fatalf("pattern query: snapshot %v != live %v", ro, live)
+	// The locked live read, the snapshot read and its stats form must
+	// stay in lockstep on plain atoms and on quoted-code patterns alike.
+	for _, tc := range []struct {
+		name, q string
+		want    int
+	}{
+		{"plain", `prin(P)`, 2},
+		{"pattern", `says(alice, me, [| access(U, F, read). |])`, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			live, err := w.Query(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ro, err := snap.Query(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stat, st, err := snap.QueryStats(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprint(tupleKeys(live))
+			if len(live) != tc.want || fmt.Sprint(tupleKeys(ro)) != want || fmt.Sprint(tupleKeys(stat)) != want {
+				t.Fatalf("live %v, snapshot %v, stats %v: want %d identical rows", live, ro, stat, tc.want)
+			}
+			if st.Gas <= 0 {
+				t.Fatalf("QueryStats gas = %d with no limits configured, want > 0", st.Gas)
+			}
+		})
 	}
 	// The transient result relation must not leak into the snapshot or
 	// the live database.

@@ -75,16 +75,14 @@ func (w *Workspace) UpdateTraced(trace string, fn func(tx *Tx) error) (EvalStats
 	w.flushActivated = nil
 	err := fn(tx)
 	if err == nil {
-		// Arm the flush budget on the workspace (rebuildDerivedLocked
-		// re-attaches it when it replaces the evaluators) and on both
-		// evaluators, then disarm before any rollback: restoring the
-		// pre-transaction state must never itself be budgeted. A metered
-		// workspace arms an unlimited metrics-only budget when no flush
-		// limits are configured, so gas/derived counts stay visible.
+		// Arm the flush budget on both evaluators, then disarm before any
+		// rollback: restoring the pre-transaction state must never itself
+		// be budgeted. A metered workspace arms an unlimited metrics-only
+		// budget when no flush limits are configured, so gas/derived counts
+		// stay visible.
 		if b := w.metricsBudget(w.flushLimits.NewBudget()); b != nil {
 			w.flushBudget = b
-			w.userEv.Budget = b
-			w.checkEv.Budget = b
+			w.wireEvaluatorsLocked()
 		}
 		var flushStart time.Time
 		if w.metrics != nil {
@@ -98,8 +96,7 @@ func (w *Workspace) UpdateTraced(trace string, fn func(tx *Tx) error) (EvalStats
 			stats = EvalStats{Gas: b.Steps(), Derived: b.Derived()}
 		}
 		w.flushBudget = nil
-		w.userEv.Budget = nil
-		w.checkEv.Budget = nil
+		w.wireEvaluatorsLocked()
 	}
 	if err != nil {
 		w.flushNew, w.flushRebuilt, w.flushActivated = nil, false, nil
@@ -502,7 +499,7 @@ func (w *Workspace) flushLocked(tx *Tx) error {
 		return w.checkConstraintsLocked(nil, false)
 	}
 	// Fold base assertions (and reified meta facts) into the derived delta
-	// accumulated by the evaluator's OnNew hook. Both sides only record
+	// accumulated by the evaluator's observer. Both sides only record
 	// tuples freshly inserted into the database, so no tuple appears
 	// twice; Update hands the same merged map to flush observers.
 	for pred, tuples := range tx.changed {
@@ -707,24 +704,14 @@ func (w *Workspace) rebuildDerivedLocked() error {
 	}
 	w.db = fresh
 	w.model = meta.NewModel(fresh)
-	w.userEv = datalog.NewEvaluator(fresh, w.builtins)
-	w.userEv.OnNew = w.recordDerived
-	w.checkEv = newCheckEvaluator(fresh, w.builtins)
-	w.userEv.Metrics = w.metrics.evalMetrics()
-	w.checkEv.Metrics = w.metrics.evalMetrics()
-	if w.flushBudget != nil {
-		w.userEv.Budget = w.flushBudget
-		w.checkEv.Budget = w.flushBudget
-	}
-	if w.prov != nil {
-		// Derivations recorded against the old database are void; remote
-		// leaves survive (a delivery happens once). The full evaluation run
-		// this rebuild forces (rulesChanged below) re-fires OnDerive for
-		// every still-derivable fact, re-capturing the DAG with no stale
-		// premises.
-		w.prov.ResetDerivations()
-		w.userEv.OnDerive = w.prov.Record
-	}
+	// Both evaluators keep their compiled rules until rulesChanged and
+	// constraintsChanged (set below) recompile them before their next run.
+	w.wireEvaluatorsLocked()
+	// Derivations recorded against the old database are void; remote
+	// leaves survive (a delivery happens once). The full evaluation run
+	// this rebuild forces (rulesChanged below) re-observes every
+	// still-derivable fact, re-capturing the DAG with no stale premises.
+	w.prov.ResetDerivations()
 	// Drop derived activations; they re-derive if still justified.
 	kept := w.activeOrder[:0]
 	for _, k := range w.activeOrder {

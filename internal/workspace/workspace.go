@@ -93,7 +93,7 @@ type Workspace struct {
 	journalSync func()
 
 	// flushNew accumulates tuples newly derived by evaluation during the
-	// current flush (fed by the evaluator's OnNew hook); flushRebuilt is
+	// current flush (fed by the evaluator's observer); flushRebuilt is
 	// set when the flush rebuilt derived state from scratch, making the
 	// accumulated delta meaningless. flushActivated records rules the meta
 	// loop activated through the active table (they carry no Tx record).
@@ -127,10 +127,8 @@ type Workspace struct {
 	// queryLimits bounds read-side work (Workspace.Query and snapshots
 	// published after SetLimits); flushLimits bounds write-side evaluation
 	// (the flush fixpoint, meta loop, and constraint checks inside
-	// Update). flushBudget is the counter armed for the current flush —
-	// held on the workspace, not just the evaluators, because
-	// rebuildDerivedLocked replaces the evaluators mid-flush and must
-	// re-attach it.
+	// Update). flushBudget is the counter armed for the current flush;
+	// wireEvaluatorsLocked attaches it to both evaluators.
 	queryLimits datalog.Limits
 	flushLimits datalog.Limits
 	flushBudget *datalog.Budget
@@ -277,19 +275,39 @@ func New(principal string) *Workspace {
 	}
 	w.model = meta.NewModel(w.db)
 	w.userEv = datalog.NewEvaluator(w.db, w.builtins)
-	w.userEv.OnNew = w.recordDerived
-	w.checkEv = newCheckEvaluator(w.db, w.builtins)
+	w.checkEv = datalog.NewEvaluator(w.db, w.builtins)
+	w.wireEvaluatorsLocked()
 	return w
 }
 
-// newCheckEvaluator builds the evaluator running constraint and fail()
-// rules. Aux predicates are marked growth-safe for delta classification:
-// they live strictly below the fail rules that negate them, so fresh aux
-// facts can only suppress violations, never create them.
-func newCheckEvaluator(db *datalog.Database, builtins *datalog.BuiltinSet) *datalog.Evaluator {
-	ev := datalog.NewEvaluator(db, builtins)
-	ev.SafeNeg = func(pred string) bool { return strings.HasPrefix(pred, auxPredPrefix) }
-	return ev
+// wireEvaluatorsLocked points the user and check evaluators at the live
+// database and attaches what the workspace owns: the user evaluator's
+// observer, the checker's growth-safe predicates, metrics, and the flush
+// budget armed for the current flush (nil outside one). It is the only
+// place these fields are set, so every site that replaces the database,
+// the metrics or the flush budget calls it. The checker's observer is
+// not attached here: runChecksLocked sets it around each check run.
+func (w *Workspace) wireEvaluatorsLocked() {
+	for _, ev := range [...]*datalog.Evaluator{w.userEv, w.checkEv} {
+		ev.DB = w.db
+		ev.Metrics = w.metrics.evalMetrics()
+		ev.Budget = w.flushBudget
+	}
+	w.userEv.Observe = w.observe
+	// Aux predicates live strictly below the fail rules that negate them,
+	// so fresh aux facts can only suppress violations, never create them.
+	w.checkEv.SafeNeg = func(pred string) bool { return strings.HasPrefix(pred, auxPredPrefix) }
+}
+
+// observe is the user evaluator's observer: a fresh tuple joins the flush
+// delta, and every derivation is recorded when provenance is on.
+func (w *Workspace) observe(pred string, t datalog.Tuple, r *datalog.Rule, premises []datalog.Premise, fresh bool) {
+	if fresh {
+		w.recordDerived(pred, t)
+	}
+	if w.prov != nil {
+		w.prov.Record(pred, t, r, premises)
+	}
 }
 
 // SetLimits installs resource limits: query bounds read-side evaluation
@@ -499,39 +517,7 @@ func (w *Workspace) Query(src string) ([]datalog.Tuple, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if b := w.queryLimits.NewBudget(); b != nil {
-		w.userEv.Budget = b
-		defer func() { w.userEv.Budget = nil }()
-	}
-	if !atomHasQuote(atom) {
-		return w.userEv.Query(atom)
-	}
-	return w.queryPatternLocked(atom)
-}
-
-// QueryStats is Query additionally reporting the read's evaluation cost,
-// with a counting budget always armed (unlimited when no query limits are
-// configured); see Snapshot.QueryStats.
-func (w *Workspace) QueryStats(src string) ([]datalog.Tuple, EvalStats, error) {
-	atom, err := parseQueryAtom(src, w.principal)
-	if err != nil {
-		return nil, EvalStats{Gas: -1, Derived: -1}, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	b := w.queryLimits.NewBudget()
-	if b == nil {
-		b = new(datalog.Budget)
-	}
-	w.userEv.Budget = b
-	defer func() { w.userEv.Budget = nil }()
-	var rows []datalog.Tuple
-	if !atomHasQuote(atom) {
-		rows, err = w.userEv.Query(atom)
-	} else {
-		rows, err = queryPatternBudget(w.db, w.builtins, atom, b, w.metrics.evalMetrics())
-	}
-	return rows, EvalStats{Gas: b.Steps(), Derived: b.Derived()}, err
+	return queryAtom(w.db, w.builtins, atom, w.queryLimits.NewBudget(), w.metrics.evalMetrics())
 }
 
 func atomHasQuote(a *datalog.Atom) bool {
@@ -541,13 +527,6 @@ func atomHasQuote(a *datalog.Atom) bool {
 		}
 	}
 	return false
-}
-
-// queryPatternLocked evaluates an atom whose arguments contain quoted-code
-// patterns against the current database. The shared overlay-based helper
-// (see snapshot.go) keeps the transient result relation out of w.db.
-func (w *Workspace) queryPatternLocked(a *datalog.Atom) ([]datalog.Tuple, error) {
-	return queryPattern(w.db, w.builtins, a, w.queryLimits, w.metrics.evalMetrics())
 }
 
 // BaseFacts returns the sorted asserted (non-derived) tuples of a

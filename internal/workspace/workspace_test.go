@@ -369,7 +369,7 @@ func TestProvenance(t *testing.T) {
 }
 
 // TestProvenanceLateEnable proves EnableProvenance captures state loaded
-// before the call: OnDerive fires on every instantiation, so the full run
+// before the call: the observer sees every instantiation, so the full run
 // at enable time rebuilds the DAG.
 func TestProvenanceLateEnable(t *testing.T) {
 	w := New("alice")

@@ -303,9 +303,10 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 
 // ServeAdmin starts the admin endpoint (lbtrust-serve exposes it via
-// -admin-addr).
-func ServeAdmin(addr string, reg *MetricsRegistry) (*AdminServer, error) {
-	return obs.ServeAdmin(addr, reg)
+// -admin-addr), serving the authorization audit ring at /debug/audit
+// when audit is non-nil.
+func ServeAdmin(addr string, reg *MetricsRegistry, audit *AuditLog) (*AdminServer, error) {
+	return obs.ServeAdmin(addr, reg, audit)
 }
 
 // AuditLog is a bounded in-memory ring of authorization audit entries
@@ -324,12 +325,6 @@ type AuditEntry = obs.AuditEntry
 // logger at info level when logger is non-nil.
 func NewAuditLog(capacity int, logger *slog.Logger) *AuditLog {
 	return obs.NewAuditLog(capacity, logger)
-}
-
-// ServeAdminAudit is ServeAdmin additionally serving the authorization
-// audit ring at /debug/audit.
-func ServeAdminAudit(addr string, reg *MetricsRegistry, audit *AuditLog) (*AdminServer, error) {
-	return obs.ServeAdminAudit(addr, reg, audit)
 }
 
 // Proof is an explanation tree for one tuple, as built by
