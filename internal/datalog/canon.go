@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -124,34 +125,10 @@ func (c *canonizer) term(b *strings.Builder, t Term) {
 	}
 }
 
-// CanonicalValue renders a value in re-parseable canonical surface syntax.
-// It is the per-value form of the canonical encoding that Code identity and
-// the signature built-ins use, and is what the distribution transports
-// write on the wire, so the same tuple encodes to the same bytes on every
-// node and every transport.
-func CanonicalValue(v Value) string { return canonValue(v) }
-
 // canonValue renders a constant in re-parseable surface syntax, so that
 // canonical rule text can cross the wire and be parsed back on the
-// receiving node. Entities are node-local and render as reserved symbols;
-// they round-trip by identity of name, not of entity.
-func canonValue(v Value) string {
-	switch v := v.(type) {
-	case Sym:
-		return string(v)
-	case String:
-		return v.String() // quoted
-	case Int:
-		return v.String()
-	case Code:
-		return "[|" + v.key + "|]"
-	case Entity:
-		return fmt.Sprintf("lb:entity:%s:%d", v.Sort, v.ID)
-	case PartRef:
-		return v.Pred + "[" + canonValue(v.Arg) + "]"
-	}
-	panic(fmt.Sprintf("datalog: cannot canonicalize value %T", v))
-}
+// receiving node.
+func canonValue(v Value) string { return string(AppendCanonicalValue(nil, v)) }
 
 func (c *canonizer) variable(name string) string {
 	if strings.HasPrefix(name, "_") {
@@ -167,4 +144,213 @@ func (c *canonizer) variable(name string) string {
 	c.next++
 	c.names[name] = n
 	return n
+}
+
+// AppendCanonicalValue appends the canonical surface form of v to dst. It
+// is the per-value form of the canonical encoding that Code identity and
+// the signature built-ins use, and is what the distribution transports
+// write on the wire, so the same tuple encodes to the same bytes on every
+// node and every transport. Entities are node-local and render as
+// reserved symbols; they round-trip by identity of name, not of entity.
+func AppendCanonicalValue(dst []byte, v Value) []byte {
+	switch v := v.(type) {
+	case Sym:
+		return append(dst, v...)
+	case String:
+		return strconv.AppendQuote(dst, string(v))
+	case Int:
+		return strconv.AppendInt(dst, int64(v), 10)
+	case Code:
+		dst = append(dst, "[|"...)
+		dst = append(dst, v.key...)
+		return append(dst, "|]"...)
+	case Entity:
+		dst = append(dst, "lb:entity:"...)
+		dst = append(dst, v.Sort...)
+		dst = append(dst, ':')
+		return strconv.AppendInt(dst, v.ID, 10)
+	case PartRef:
+		dst = append(dst, v.Pred...)
+		dst = append(dst, '[')
+		dst = AppendCanonicalValue(dst, v.Arg)
+		return append(dst, ']')
+	}
+	panic(fmt.Sprintf("datalog: cannot canonicalize value %T", v))
+}
+
+// AppendCanonicalTuple appends t as the canonical fact functor(v1,...,vn).
+func AppendCanonicalTuple(dst []byte, functor string, t Tuple) []byte {
+	dst = append(dst, functor...)
+	dst = append(dst, '(')
+	for i, v := range t.vals {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendCanonicalValue(dst, v)
+	}
+	return append(dst, ')')
+}
+
+// DecodeCanonicalTuple is the inverse of AppendCanonicalTuple: it decodes
+// one line functor(v1,...,vn) in a single pass over the canonical value
+// grammar, without the lexer and parser:
+//
+//	value  := symbol | int | string | code | part
+//	symbol := a non-variable identifier, ':' continuations included
+//	int    := '-'? digits
+//	string := a strconv-quoted string
+//	code   := '[|' canonical clause text '|]'
+//	part   := symbol '[' value ']'
+//
+// Only a code value reaches the parser, because a code value carries its
+// rule: the quoted text is parsed as a quote term, exactly as a code
+// argument of a parsed fact, and its Code must render back to the quoted
+// text. The decoded tuple equals what parsing the line as a fact yields.
+// Input the parser accepted but the encoder never writes — whitespace,
+// comments, arithmetic, parentheses around a term, another functor — is
+// rejected, and so is code the parser would have rewritten (ground
+// arithmetic it folds).
+func DecodeCanonicalTuple(line, functor string) (Tuple, error) {
+	s := canonScanner{src: line, pos: len(functor) + 1}
+	if !strings.HasPrefix(line, functor) || len(line) <= len(functor) || line[len(functor)] != '(' {
+		return Tuple{}, s.errf("expected %s(", functor)
+	}
+	if line[s.pos:] == ")" {
+		return Tuple{}, nil
+	}
+	vs := make([]Value, 0, 4)
+	for {
+		v, err := s.value()
+		if err != nil {
+			return Tuple{}, err
+		}
+		vs = append(vs, v)
+		switch s.peek() {
+		case ',':
+			s.pos++
+		case ')':
+			if s.pos != len(line)-1 {
+				return Tuple{}, s.errf("trailing input after ')'")
+			}
+			return TupleOf(vs), nil
+		default:
+			return Tuple{}, s.errf("expected ',' or ')'")
+		}
+	}
+}
+
+// canonScanner is the cursor of DecodeCanonicalTuple.
+type canonScanner struct {
+	src string
+	pos int
+}
+
+func (s *canonScanner) errf(format string, args ...any) error {
+	return fmt.Errorf("datalog: canonical tuple %q at byte %d: %s", s.src, s.pos, fmt.Sprintf(format, args...))
+}
+
+// peek returns the byte at the cursor, or 0 at the end of input.
+func (s *canonScanner) peek() byte {
+	if s.pos >= len(s.src) {
+		return 0
+	}
+	return s.src[s.pos]
+}
+
+func (s *canonScanner) value() (Value, error) {
+	c := s.peek()
+	switch {
+	case c == '"':
+		u, rest, err := quotedPrefix(s.src[s.pos:])
+		if err != nil {
+			return nil, s.errf("%v", err)
+		}
+		s.pos = len(s.src) - len(rest)
+		return String(u), nil
+	case c == '-' || isDigit(c):
+		return s.integer()
+	case c == '[' && strings.HasPrefix(s.src[s.pos:], "[|"):
+		return s.code()
+	case isIdentStart(c):
+		start := s.pos
+		s.pos = identEnd(s.src, start)
+		name := s.src[start:s.pos]
+		if isVarName(name) {
+			return nil, s.errf("variable %s is not a ground value", name)
+		}
+		if s.peek() != '[' {
+			return Sym(name), nil
+		}
+		s.pos++
+		arg, err := s.value()
+		if err != nil {
+			return nil, err
+		}
+		if s.peek() != ']' {
+			return nil, s.errf("expected ']'")
+		}
+		s.pos++
+		return PartRef{Pred: name, Arg: arg}, nil
+	}
+	return nil, s.errf("expected a value")
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// integer scans '-'? digits. The magnitude must fit in an int64, as it
+// must for the lexer's integer literal.
+func (s *canonScanner) integer() (Value, error) {
+	neg := s.peek() == '-'
+	if neg {
+		s.pos++
+	}
+	start := s.pos
+	for isDigit(s.peek()) {
+		s.pos++
+	}
+	n, err := strconv.ParseInt(s.src[start:s.pos], 10, 64)
+	if err != nil {
+		return nil, s.errf("bad integer: %v", err)
+	}
+	if neg {
+		n = -n
+	}
+	return Int(n), nil
+}
+
+// code scans a quoted clause to its matching '|]', stepping over nested
+// quotes and string literals (which may contain "|]"), and rebuilds the
+// Code value from it.
+func (s *canonScanner) code() (Value, error) {
+	start, depth := s.pos, 0
+	for s.pos < len(s.src) {
+		switch rest := s.src[s.pos:]; {
+		case rest[0] == '"':
+			q, err := strconv.QuotedPrefix(rest)
+			if err != nil {
+				return nil, s.errf("string in quoted code: %v", err)
+			}
+			s.pos += len(q)
+		case strings.HasPrefix(rest, "[|"):
+			depth++
+			s.pos += 2
+		case strings.HasPrefix(rest, "|]"):
+			depth--
+			s.pos += 2
+			if depth == 0 {
+				text := s.src[start:s.pos]
+				c, err := parseQuotedCode(text)
+				if err != nil {
+					return nil, s.errf("%v", err)
+				}
+				if c.key != text[2:len(text)-2] {
+					return nil, s.errf("quoted code is not in canonical form %s", c.key)
+				}
+				return c, nil
+			}
+		default:
+			s.pos++
+		}
+	}
+	return nil, s.errf("unterminated quoted code")
 }

@@ -202,6 +202,34 @@ func isIdentPart(c byte) bool {
 	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
 
+// identEnd returns the end of the identifier starting at src[start],
+// which must satisfy isIdentStart. The identifier continues through ':'
+// when it is immediately followed by an identifier character, so
+// message:id and rsa:3:c1ebab5d are single identifiers while "m2: rule"
+// is not.
+func identEnd(src string, start int) int {
+	i := start + 1
+	for i < len(src) {
+		if isIdentPart(src[i]) {
+			i++
+			continue
+		}
+		if src[i] == ':' && i+1 < len(src) && isIdentPart(src[i+1]) && src[i+1] != '_' {
+			i += 2
+			continue
+		}
+		break
+	}
+	return i
+}
+
+// isVarName reports whether an identifier is a variable: "_" or
+// uppercase- or underscore-initial.
+func isVarName(text string) bool {
+	first := rune(text[0])
+	return text == "_" || unicode.IsUpper(first) || (first == '_' && len(text) > 1)
+}
+
 // next returns the next token.
 func (l *lexer) next() (token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
@@ -215,26 +243,12 @@ func (l *lexer) next() (token, error) {
 	c := l.peekByte()
 	switch {
 	case isIdentStart(c):
+		// Identifiers never span lines, so the column advances by length.
 		start := l.pos
-		l.advance()
-		for l.pos < len(l.src) {
-			if isIdentPart(l.peekByte()) {
-				l.advance()
-				continue
-			}
-			// Continue through ':' when immediately followed by an
-			// identifier character, so message:id and rsa:3:c1ebab5d lex
-			// as single identifiers while "m2: rule" does not.
-			if l.peekByte() == ':' && isIdentPart(l.peekAt(1)) && l.peekAt(1) != '_' {
-				l.advance()
-				l.advance()
-				continue
-			}
-			break
-		}
+		l.pos = identEnd(l.src, start)
+		l.col += l.pos - start
 		text := l.src[start:l.pos]
-		first := rune(text[0])
-		if text == "_" || unicode.IsUpper(first) || (first == '_' && len(text) > 1) {
+		if isVarName(text) {
 			t.kind, t.text = tokVar, text
 		} else {
 			t.kind, t.text = tokIdent, text

@@ -647,6 +647,29 @@ func (p *parser) primaryTerm() (Term, error) {
 	return nil, p.errf("expected a term, found %v", t.kind)
 }
 
+// parseQuotedCode parses src as exactly one quoted code term [| ... |]
+// and evaluates it to its Code value, as a code argument of a parsed
+// ground fact evaluates.
+func parseQuotedCode(src string) (Code, error) {
+	toks, err := lexAll(src)
+	if err != nil {
+		return Code{}, err
+	}
+	p := &parser{toks: toks}
+	t, err := p.quote()
+	if err != nil {
+		return Code{}, err
+	}
+	if p.peek().kind != tokEOF {
+		return Code{}, p.errf("unexpected %v after quoted code", p.peek().kind)
+	}
+	v, _, err := evalTerm(t, newEnv())
+	if err != nil {
+		return Code{}, err
+	}
+	return v.(Code), nil
+}
+
 // quote parses a quoted code term [| heads [<- body] [.] |].
 func (p *parser) quote() (Term, error) {
 	open, err := p.expect(tokQuoteOpen)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // This file is the stable serialization layer under internal/store: a
@@ -117,16 +118,18 @@ func (d *Decoder) Code(text string) (Code, error) {
 	return c, nil
 }
 
-// quotedPrefix splits a leading strconv-quoted string off s. Quoted text
-// without escape sequences is sliced out directly instead of re-allocated
-// through Unquote — the common case for symbols and predicate names.
+// quotedPrefix splits a leading strconv-quoted string off s. Valid UTF-8
+// text without escape sequences is sliced out directly instead of
+// re-allocated through Unquote — the common case for symbols and
+// predicate names. (Unquote replaces invalid UTF-8 with U+FFFD, so such
+// text takes the slow path.)
 func quotedPrefix(s string) (unquoted, rest string, err error) {
 	q, err := strconv.QuotedPrefix(s)
 	if err != nil {
 		return "", "", fmt.Errorf("datalog: bad quoted payload in %q: %w", s, err)
 	}
-	if len(q) >= 2 && q[0] == '"' && !strings.ContainsAny(q[1:len(q)-1], `\"`) {
-		return q[1 : len(q)-1], s[len(q):], nil
+	if body := q[1 : len(q)-1]; q[0] == '"' && !strings.ContainsAny(body, `\"`) && utf8.ValidString(body) {
+		return body, s[len(q):], nil
 	}
 	u, err := strconv.Unquote(q)
 	if err != nil {

@@ -11,7 +11,7 @@
 package datalog
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -414,5 +414,5 @@ func CompareTuples(a, b Tuple) int {
 
 // SortTuples sorts tuples into the deterministic CompareTuples order.
 func SortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return CompareTuples(ts[i], ts[j]) < 0 })
+	slices.SortFunc(ts, CompareTuples)
 }

@@ -318,12 +318,12 @@ func writeFrame(w io.Writer, data []byte) error {
 	if len(data) > maxFrame {
 		return fmt.Errorf("dist: frame of %d bytes exceeds limit %d", len(data), maxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
+	// Header and payload go out in one Write: one syscall per frame on a
+	// socket, and no small header segment waiting on the payload.
+	frame := make([]byte, 4+len(data))
+	binary.BigEndian.PutUint32(frame, uint32(len(data)))
+	copy(frame[4:], data)
+	_, err := w.Write(frame)
 	return err
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -20,6 +21,7 @@ import (
 type Client struct {
 	mu        sync.Mutex
 	conn      net.Conn
+	r         *bufio.Reader // frames from conn
 	principal string
 }
 
@@ -29,7 +31,8 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: dialing %s: %w", addr, err)
 	}
-	greet, err := dist.ReadFrame(conn)
+	r := bufio.NewReaderSize(conn, frameBufSize)
+	greet, err := dist.ReadFrame(r)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("server: reading greeting from %s: %w", addr, err)
@@ -38,7 +41,7 @@ func Dial(addr string) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("server: %s is not a trust service (greeting %q)", addr, greet)
 	}
-	return &Client{conn: conn}, nil
+	return &Client{conn: conn, r: r}, nil
 }
 
 // Close ends the session.
@@ -101,7 +104,7 @@ func (c *Client) roundTrip(req string) (status, payload string, err error) {
 	if err := dist.WriteFrame(c.conn, []byte(req)); err != nil {
 		return "", "", fmt.Errorf("server: sending request: %w", err)
 	}
-	resp, err := dist.ReadFrame(c.conn)
+	resp, err := dist.ReadFrame(c.r)
 	if err != nil {
 		return "", "", fmt.Errorf("server: reading response: %w", err)
 	}

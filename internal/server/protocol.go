@@ -1,9 +1,15 @@
 // Wire protocol of the serving layer. Requests and responses travel as
 // the length-prefixed frames of internal/dist (dist.WriteFrame /
 // dist.ReadFrame), and result tuples ride in the same canonical encoding
-// the distribution codec uses (dist.EncodeTuple / dist.DecodeTuple), so
+// the distribution codec uses (dist.AppendTuple / dist.DecodeTuple), so
 // the service speaks the byte-stable dialect the rest of the system
-// already ships between nodes.
+// already ships between nodes. A frame goes out in one write (4-byte
+// length header and payload together), and both ends read through a
+// small buffer, so a typical request or response costs one read. Rows
+// are decoded by the canonical-value scanner documented in
+// internal/dist/codec.go (symbols, ints, quoted strings, [| code |],
+// pred[arg]), not by the Datalog parser; the bytes on the wire are
+// unchanged, so old and new clients and servers interoperate.
 //
 // On connect the server sends one greeting frame:
 //
@@ -99,6 +105,7 @@ package server
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"lbtrust/internal/datalog"
@@ -107,6 +114,12 @@ import (
 
 // Magic is the protocol greeting and version tag.
 const Magic = "lbtrust-serve/1"
+
+// frameBufSize sizes the read buffer of each session and client. A
+// typical request or rows response (header included) fits in it, so a
+// frame usually costs one read; larger payloads bypass the buffer. It
+// stays small because every open session holds one.
+const frameBufSize = 512
 
 // nonceHexLen is the exact length of a challenge nonce (32 random bytes,
 // hex-encoded). Clients refuse challenges of any other shape: a session
@@ -182,41 +195,35 @@ func parseRequest(data []byte) (request, error) {
 	return req, nil
 }
 
-// encodeRows renders a result-tuple response frame. Rows are sorted into
-// the canonical value order (the same order Relation.Sorted uses): the
-// wire answer must be deterministic (the restart smoke literally diffs
-// two servers' outputs), and sorting by value comparison avoids
-// materializing a canonical key string per row.
+// encodeRows renders a result-tuple response frame, appending every row
+// into one buffer. Rows are sorted into the canonical value order (the
+// same order Relation.Sorted uses): the wire answer must be deterministic
+// (the restart smoke literally diffs two servers' outputs), and sorting by
+// value comparison avoids materializing a canonical key string per row.
 func encodeRows(rows []datalog.Tuple) []byte {
 	datalog.SortTuples(rows)
-	var b strings.Builder
-	fmt.Fprintf(&b, "rows %d", len(rows))
+	b := make([]byte, 0, 16+32*len(rows))
+	b = append(b, "rows "...)
+	b = strconv.AppendInt(b, int64(len(rows)), 10)
 	for _, t := range rows {
-		b.WriteByte('\n')
-		b.WriteString(dist.EncodeTuple(t))
+		b = append(b, '\n')
+		b = dist.AppendTuple(b, t)
 	}
-	return []byte(b.String())
+	return b
 }
 
 // decodeRows parses a rows response payload (the part after "rows ").
 func decodeRows(payload string) ([]datalog.Tuple, error) {
-	lines := strings.Split(payload, "\n")
-	var n int
-	if _, err := fmt.Sscanf(lines[0], "%d", &n); err != nil || n < 0 {
-		return nil, fmt.Errorf("server: malformed rows header %q", lines[0])
+	header, _, _ := strings.Cut(payload, "\n")
+	n, err := strconv.Atoi(header)
+	if err != nil || n < 0 {
+		return nil, fmt.Errorf("server: malformed rows header %q", header)
 	}
-	if len(lines)-1 < n {
-		return nil, fmt.Errorf("server: rows response truncated: %d declared, %d lines", n, len(lines)-1)
+	rows, err := dist.DecodeTuples(payload, n)
+	if err != nil {
+		return nil, fmt.Errorf("server: rows %w", err)
 	}
-	out := make([]datalog.Tuple, 0, n)
-	for i := 0; i < n; i++ {
-		t, err := dist.DecodeTuple(lines[1+i])
-		if err != nil {
-			return nil, fmt.Errorf("server: row %d: %w", i, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	return rows, nil
 }
 
 // errFrame renders an error response: "err <code> <message>". The code

@@ -21,6 +21,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -407,6 +408,7 @@ func (s *Server) serve(conn net.Conn) {
 		return
 	}
 	sess := &session{}
+	br := bufio.NewReaderSize(conn, frameBufSize)
 	for {
 		// One deadline spans the whole frame read, so a slow-loris peer
 		// trickling a byte at a time is reaped just like a silent one: the
@@ -414,7 +416,7 @@ func (s *Server) serve(conn net.Conn) {
 		if idle > 0 {
 			conn.SetReadDeadline(time.Now().Add(idle))
 		}
-		data, err := dist.ReadFrameLimit(conn, maxRequestFrame)
+		data, err := dist.ReadFrameLimit(br, maxRequestFrame)
 		if err != nil {
 			if isTimeout(err) {
 				s.idleReaped.Add(1)
@@ -717,7 +719,9 @@ func (s *Server) query(sess *session, src string, rs *reqStats) []byte {
 	if err != nil {
 		return s.evalErrFrame(err)
 	}
-	rs.roots = []string{fmt.Sprintf("%s/%d", predOf(src), len(rows))}
+	if s.obs.Audit() != nil {
+		rs.roots = []string{fmt.Sprintf("%s/%d", predOf(src), len(rows))}
+	}
 	return encodeRows(rows)
 }
 
