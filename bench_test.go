@@ -77,27 +77,6 @@ func BenchmarkFigure2TransportTCP(b *testing.B) {
 	}
 }
 
-// ---- Ablation A1: semi-naive vs naive fixpoint ------------------------------
-
-func BenchmarkAblationSeminaive(b *testing.B) {
-	for _, n := range []int{50, 100} {
-		b.Run(fmt.Sprintf("chain=%d/seminaive", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := bench.RunTC(n, false); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("chain=%d/naive", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := bench.RunTC(n, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // ---- Ablation A2: incremental insertion vs full recomputation ---------------
 
 func BenchmarkAblationIncremental(b *testing.B) {

@@ -737,17 +737,6 @@ func ratio(a, b float64) float64 {
 }
 
 func runAblations() {
-	fmt.Println("== Ablation A1: semi-naive vs naive fixpoint (transitive closure) ==")
-	fmt.Printf("%10s %14s %14s %10s\n", "chain", "seminaive(s)", "naive(s)", "paths")
-	for _, n := range []int{50, 100, 200} {
-		semi, paths, err := bench.RunTC(n, false)
-		check(err)
-		naive, _, err := bench.RunTC(n, true)
-		check(err)
-		fmt.Printf("%10d %14.4f %14.4f %10d\n", n, semi.Seconds(), naive.Seconds(), paths)
-	}
-	fmt.Println()
-
 	fmt.Println("== Ablation A2: incremental insertion vs full recomputation ==")
 	fmt.Printf("%10s %10s %16s %14s\n", "base", "inserts", "incremental(s)", "recompute(s)")
 	for _, in := range []int{10, 20, 40} {

@@ -197,30 +197,6 @@ path(X,Y) <- edge(X,Y).
 path(X,Z) <- path(X,Y), edge(Y,Z).
 `
 
-// RunTC evaluates transitive closure over a chain of n edges, naive or
-// semi-naive (ablation A1). It returns the evaluation time and the number
-// of derived paths.
-func RunTC(n int, naive bool) (time.Duration, int, error) {
-	prog := datalog.MustParseProgram(TCProgram)
-	db := datalog.NewDatabase()
-	edge := db.Rel("edge", 2)
-	for _, t := range ChainEdges(n) {
-		edge.Insert(t)
-	}
-	ev := datalog.NewEvaluator(db, datalog.NewBuiltinSet())
-	ev.Naive = naive
-	if err := ev.SetRules(prog.Rules); err != nil {
-		return 0, 0, err
-	}
-	start := time.Now()
-	if err := ev.Run(); err != nil {
-		return 0, 0, err
-	}
-	elapsed := time.Since(start)
-	rel, _ := db.Get("path")
-	return elapsed, rel.Len(), nil
-}
-
 // RunIncremental measures inserting extra edges one at a time into an
 // evaluated chain, either with semi-naive deltas or by re-running full
 // evaluation after each insert (ablation A2).

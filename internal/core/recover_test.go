@@ -246,3 +246,50 @@ func TestCheckpointConcurrentWithMutations(t *testing.T) {
 		t.Errorf("recovered ticks = %d, want 10", n)
 	}
 }
+
+// TestRecoverNegativeComparisonRule reopens a data directory holding a
+// rule that compares against a negative constant. The rule's canonical
+// text must re-parse, or the logged rule (and a checkpoint carrying it)
+// would make the directory unreadable.
+func TestRecoverNegativeComparisonRule(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
+			dir := t.TempDir()
+			sys, err := OpenSystem(dir, DurableOptions{Fsync: store.FsyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			alice, err := sys.AddPrincipal("alice")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := alice.LoadProgram("q(-5). q(3). p(X) <- q(X), X < -1."); err != nil {
+				t.Fatal(err)
+			}
+			if checkpoint {
+				if err := sys.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenSystem(dir, DurableOptions{Fsync: store.FsyncOff})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer re.Close()
+			alice, ok := re.Principal("alice")
+			if !ok {
+				t.Fatal("alice not recovered")
+			}
+			rows, err := alice.Query("p(X)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(rows) != "[(-5)]" {
+				t.Fatalf("recovered p = %v, want [(-5)]", rows)
+			}
+		})
+	}
+}

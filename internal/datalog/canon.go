@@ -8,7 +8,8 @@ import (
 
 // canonRule renders a clause into its canonical form: variables are renamed
 // V0, V1, ... in order of first occurrence, arguments are fully
-// parenthesized, and there is no insignificant whitespace. The canonical
+// parenthesized, and there is no whitespace except the one space that
+// keeps "<" apart from a negative right operand. The canonical
 // form is the identity of a Code value and the byte string that signature
 // built-ins (rsasign, hmacsign) operate on, so it must be deterministic
 // across processes and nodes.
@@ -56,7 +57,15 @@ func (c *canonizer) atom(b *strings.Builder, a *Atom) {
 	if comparisonOps[a.Pred] && len(a.Args) == 2 && a.Part == nil {
 		c.term(b, a.Args[0])
 		b.WriteString(a.Pred)
-		c.term(b, a.Args[1])
+		var rhs strings.Builder
+		c.term(&rhs, a.Args[1])
+		// "<" fused with a leading "-" would lex as the rule arrow "<-".
+		// Only that pair gets a space, so every other rule's text (and
+		// every signature over it) is unchanged.
+		if a.Pred == "<" && strings.HasPrefix(rhs.String(), "-") {
+			b.WriteByte(' ')
+		}
+		b.WriteString(rhs.String())
 		return
 	}
 	switch {

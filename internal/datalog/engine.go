@@ -48,10 +48,6 @@ type Evaluator struct {
 	// the constraint checker's fail(L) <- LHS, !aux(...) shape where the
 	// aux predicate is maintained in a strictly lower stratum.
 	SafeNeg func(pred string) bool
-	// Naive disables the semi-naive delta optimization: every iteration
-	// re-evaluates all rules against the full database. It exists for the
-	// ablation benchmarks; leave it false otherwise.
-	Naive bool
 	// Budget, when non-nil, bounds the work this evaluator may do: one
 	// gas unit per tuple enumerated while solving bodies or queries, plus
 	// derived-tuple and memory accounting on every new insertion. When a
@@ -357,21 +353,6 @@ func (ev *Evaluator) runStratum(s int, seed map[string]*Relation) error {
 			if err := ev.evalRule(cr, cr.plan, -1, nil, emit(cr)); err != nil {
 				return err
 			}
-		}
-		if ev.Naive {
-			// Ablation mode: iterate full rounds to fixpoint.
-			for len(newDelta) > 0 {
-				newDelta = map[string]*Relation{}
-				for _, cr := range rules {
-					if cr.agg != nil {
-						continue
-					}
-					if err := ev.evalRule(cr, cr.plan, -1, nil, emit(cr)); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
 		}
 	} else {
 		// Incremental: drive rules whose bodies mention seeded predicates.

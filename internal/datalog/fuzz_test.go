@@ -27,6 +27,12 @@ func FuzzParseRule(f *testing.F) {
 		`[| nested [| deep [| deeper |] |] |]`,
 		"p(\x00\xff).",
 		`p(X) <- q(X); r(X), s(X).`,
+		`p(X) <- q(X), X < -1.`,
+		`p(X) <- q(X), X <= -1.`,
+		`p(X) <- q(X), X > -1.`,
+		`p(X) <- q(X), X >= -1.`,
+		`p(X) <- q(X), X = -1.`,
+		`p(X) <- q(X), X != -1.`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -126,6 +126,11 @@ type Relation struct {
 	frozen    bool
 	idxMu     sync.Mutex
 	frozenIdx atomic.Pointer[map[int]*colIndex]
+
+	// pub is the frozen clone Published last handed out. Every mutation
+	// drops it, so it is non-nil exactly while the relation still equals
+	// what its readers were given.
+	pub *Relation
 }
 
 // NewRelation creates an empty relation.
@@ -303,6 +308,7 @@ func (r *Relation) Insert(t Tuple) bool {
 	if (r.live+r.tab.tombs+1)*4 >= r.tab.capacity()*3 {
 		r.grow(r.tab.capacity() * 2)
 	}
+	r.pub = nil
 	ref := r.appendRow(t)
 	r.tabPut(h, ref)
 	r.live++
@@ -323,6 +329,7 @@ func (r *Relation) Delete(t Tuple) bool {
 	if !ok {
 		return false
 	}
+	r.pub = nil
 	r.ensureOwned()
 	p, si := r.tab.cowPage(pos, r.gen)
 	p.ref[si] = storedTomb
@@ -526,6 +533,7 @@ func (r *Relation) Clear() {
 	if r.frozen {
 		panic(fmt.Sprintf("datalog: clear of frozen relation %s", r.Name))
 	}
+	r.pub = nil
 	r.chunks = nil
 	r.tab = nil
 	r.live = 0
@@ -574,6 +582,21 @@ func (r *Relation) Freeze() {
 		r.frozenIdx.Store(&seed)
 	}
 	r.frozen = true
+}
+
+// Published returns a frozen clone of the relation for lock-free readers.
+// It clones only when the relation was mutated (a new tuple inserted, a
+// present one deleted, or a Clear) since the previous call; otherwise it
+// hands out the same frozen object again, so the indexes its readers
+// built stay warm. fresh reports whether this call cloned. The caller
+// serializes Published with the relation's mutations.
+func (r *Relation) Published() (frozen *Relation, fresh bool) {
+	if r.pub != nil {
+		return r.pub, false
+	}
+	r.pub = r.Clone()
+	r.pub.Freeze()
+	return r.pub, true
 }
 
 // StorageStats describes a relation's physical layout, for benchmarks

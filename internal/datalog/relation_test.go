@@ -287,6 +287,50 @@ func TestRelationFrozenPanics(t *testing.T) {
 	}
 }
 
+// TestRelationPublished: Published hands out the same frozen copy until
+// a mutation that changes the relation (new tuple, present tuple
+// deleted, Clear); no-op writes and Clone keep it.
+func TestRelationPublished(t *testing.T) {
+	r := NewRelation("p", 1)
+	r.Insert(NewTuple(Sym("a")))
+	first, fresh := r.Published()
+	if !fresh || first.Len() != 1 {
+		t.Fatalf("first Published: fresh=%v len=%d, want a fresh 1-tuple copy", fresh, first.Len())
+	}
+	keep := func(step string) {
+		t.Helper()
+		if got, fresh := r.Published(); fresh || got != first {
+			t.Fatalf("after %s: Published re-cloned", step)
+		}
+	}
+	keep("nothing")
+	r.Insert(NewTuple(Sym("a")))
+	keep("a duplicate insert")
+	r.Delete(NewTuple(Sym("zz")))
+	keep("deleting an absent tuple")
+	r.Clone()
+	keep("Clone")
+	for _, tc := range []struct {
+		name string
+		op   func()
+		want int
+	}{
+		{"insert", func() { r.Insert(NewTuple(Sym("b"))) }, 2},
+		{"delete", func() { r.Delete(NewTuple(Sym("a"))) }, 1},
+		{"clear", func() { r.Clear() }, 0},
+	} {
+		prev, _ := r.Published()
+		tc.op()
+		got, fresh := r.Published()
+		if !fresh || got == prev || got.Len() != tc.want {
+			t.Fatalf("after %s: fresh=%v same=%v len=%d, want a fresh copy of %d tuples", tc.name, fresh, got == prev, got.Len(), tc.want)
+		}
+	}
+	if first.Len() != 1 || !first.Contains(NewTuple(Sym("a"))) {
+		t.Fatalf("an earlier published copy changed: %v", first.Sorted())
+	}
+}
+
 // TestRelationCompaction forces the tombstone threshold and checks the
 // rebuilt relation is intact.
 func TestRelationCompaction(t *testing.T) {

@@ -88,3 +88,20 @@ func TestCanonicalConstraintRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestCanonicalComparisonNegativeText pins the canonical text of a
+// comparison against a negative constant. Only "<" gains a space (fused,
+// "<-" lexes as the rule arrow); every other operator's text, and so
+// every signature over it, stays byte-identical. FuzzParseRule's seeds
+// check that each of these texts re-parses to itself.
+func TestCanonicalComparisonNegativeText(t *testing.T) {
+	for _, op := range []string{"<", "<=", ">", ">=", "=", "!="} {
+		want := "p(V0)<-q(V0),V0" + op + "-1."
+		if op == "<" {
+			want = "p(V0)<-q(V0),V0< -1."
+		}
+		if got := canonRule(MustParseClause("p(X) <- q(X), X " + op + " -1.")); got != want {
+			t.Errorf("%s: canonical text %q, want %q", op, got, want)
+		}
+	}
+}

@@ -94,6 +94,8 @@ var decodeCases = []struct {
 	{line: `t([|p([|q(V0).|]).|])`, want: []datalog.Value{mustCode(`p([| q(X). |]).`)}},
 	{line: `t([|p("|]").|],x)`, want: []datalog.Value{mustCode(`p("|]").`), datalog.Sym("x")}},
 	{line: `t([|may(V0,f1,read)<-member(V0,staff).|])`, want: []datalog.Value{mustCode(`may(U,f1,read) <- member(U,staff).`)}},
+	{line: `t([|p(V0)<-q(V0),V0< -1.|])`, want: []datalog.Value{mustCode(`p(X) <- q(X), X < -1.`)}},
+	{line: `t([|p(V0)<-q(V0),V0<-1.|])`},
 	{line: `t([| p(a). |])`, narrowed: true},
 	{line: `t([|p(a)|])`, narrowed: true},
 	{line: `t([|p((1+2)).|])`, narrowed: true},

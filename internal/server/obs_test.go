@@ -79,7 +79,7 @@ func TestStatsRaceUnderMixedTraffic(t *testing.T) {
 // evaluator counters from the workspace layer, dist sync counters, and
 // a request trace whose ID shows up in a dist-layer span and in the log.
 func TestServerObsEndToEnd(t *testing.T) {
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	o := &obs.Obs{
 		Registry: obs.NewRegistry(),
 		Log:      slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug})),
@@ -138,6 +138,26 @@ func TestServerObsEndToEnd(t *testing.T) {
 	if !strings.Contains(logBuf.String(), string(syncTrace)) {
 		t.Errorf("log output does not mention sync trace %s", syncTrace)
 	}
+}
+
+// lockedBuffer is a log sink the test can read while session goroutines
+// are still writing to it (a closing session logs after its client is
+// gone): Write and String share one lock.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestShutdownGraceful: Shutdown stops the listener, closes idle

@@ -57,7 +57,7 @@ func TestSnapshotQueryLimitTrips(t *testing.T) {
 	before := w.Snapshot()
 	w.SetLimits(datalog.Limits{Gas: 50}, datalog.Limits{})
 	snap := w.Snapshot()
-	if snap.Version() == before.Version() {
+	if snap == before {
 		t.Fatal("SetLimits must republish the snapshot")
 	}
 	if _, err := snap.Query("a(X)"); datalog.ErrCode(err) != datalog.CodeLimitGas {

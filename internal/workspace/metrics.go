@@ -17,7 +17,7 @@ type Metrics struct {
 	checkSkipped     *obs.Counter
 
 	snapPublishSeconds *obs.Histogram
-	snapRelsCloned     *obs.Counter
+	relsCloned         *obs.Counter
 
 	eval *datalog.EvalMetrics
 }
@@ -36,7 +36,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		checkSkipped:     r.Counter("lb_workspace_constraint_checks_total", checkHelp, "path", "skipped"),
 		snapPublishSeconds: r.Histogram("lb_workspace_snapshot_publish_seconds",
 			"snapshot republication latency (cloning relations stale since the last publication)"),
-		snapRelsCloned: r.Counter("lb_workspace_snapshot_relations_cloned_total",
+		relsCloned: r.Counter("lb_workspace_snapshot_relations_cloned_total",
 			"relations cloned during snapshot republication"),
 		eval: datalog.NewEvalMetrics(r),
 	}
@@ -65,8 +65,7 @@ func (w *Workspace) SetObs(o *obs.Obs) {
 	}
 	w.wireEvaluatorsLocked()
 	// Published snapshots captured the old metrics; republish.
-	w.snapAll = true
-	w.snapClean.Store(false)
+	w.snap.Store(nil)
 }
 
 // metricsBudget arms a budget for one flush when metrics need one: gas

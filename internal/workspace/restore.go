@@ -185,8 +185,7 @@ func (w *Workspace) RestoreState(st *WorkspaceState) error {
 	}
 	w.rulesChanged = true
 	w.constraintsChanged = true
-	w.snapAll = true
-	w.snapClean.Store(false)
+	w.snap.Store(nil)
 	return nil
 }
 
@@ -319,8 +318,7 @@ func (w *Workspace) ApplyJournal(j *FlushJournal) error {
 			}
 		}
 	}
-	w.snapAll = true
-	w.snapClean.Store(false)
+	w.snap.Store(nil)
 	return nil
 }
 

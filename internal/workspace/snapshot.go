@@ -7,13 +7,14 @@
 // relations; any number of goroutines can then query the view with no
 // lock held, while writers keep flushing the live workspace.
 //
-// Publication is copy-on-demand, not copy-on-flush: a flush only records
-// which predicates it touched (O(changed predicates), so the write hot
-// path — which PRs 2–3 made O(fresh tuples) — stays O(fresh)), and the
-// next Snapshot() call re-clones exactly the stale relations. Readers
-// arriving between flushes share the cached view, so a read-heavy
-// workload pays one clone per (relation, flush) pair at worst, and a
-// write-only workload pays almost nothing.
+// Publication is copy-on-demand, not copy-on-flush: a commit only drops
+// the published view (one atomic store), and the next Snapshot() call
+// re-clones exactly the relations mutated since they were last published.
+// Each relation tracks that itself (Relation.Published), so an unchanged
+// relation keeps handing out the same frozen object, index caches and
+// all. Readers arriving between commits share the cached view, so a
+// read-heavy workload pays one clone per (relation, flush) pair at worst,
+// and a write-only workload pays almost nothing.
 package workspace
 
 import (
@@ -33,17 +34,11 @@ type Snapshot struct {
 	principal datalog.Sym
 	db        *datalog.Database
 	builtins  *datalog.BuiltinSet
-	version   uint64
 	limits    datalog.Limits // query limits captured at publication
 	// eval carries the workspace's evaluator metrics at publication, so
 	// lock-free snapshot reads count as query runs like locked reads do.
 	eval *datalog.EvalMetrics
 }
-
-// Version identifies the publication: it increments each time Snapshot()
-// has to publish a fresh view and is stable while the cached view is
-// reused.
-func (s *Snapshot) Version() uint64 { return s.version }
 
 // Principal returns the owning workspace's principal symbol.
 func (s *Snapshot) Principal() datalog.Sym { return s.principal }
@@ -104,117 +99,57 @@ func (s *Snapshot) Count(pred string) int {
 	return rel.Len()
 }
 
-// Snapshot returns the current immutable view of the workspace,
-// publishing a fresh one only if a flush has touched relations since the
-// last publication. While the cached view is current the call is
-// lock-free (one atomic load) — readers must never stall behind an
-// in-flight flush that hasn't changed anything they could see yet. Only
-// publication (the view is stale) takes the workspace lock, to clone the
-// stale relations consistently.
+// Snapshot returns the current immutable view of the workspace. While no
+// commit has happened since the last publication the call is lock-free
+// (one atomic load): readers must never stall behind an in-flight flush
+// that hasn't changed anything they could see yet. Otherwise it takes the
+// workspace lock and publishes a view of every relation's
+// Relation.Published copy, which re-clones exactly the relations mutated
+// since they were last published.
 func (w *Workspace) Snapshot() *Snapshot {
-	// Order matters: check cleanliness before loading the pointer. A
-	// writer marks dirty (snapClean=false) while committing under w.mu
-	// and before the commit is observable; if we read clean=true, the
-	// published pointer is at least as fresh as every commit that
-	// completed before this call.
-	if w.snapClean.Load() {
-		if s := w.snapPtr.Load(); s != nil {
-			return s
-		}
+	// Every site that changes what a view would contain clears w.snap
+	// under w.mu before the change is observable, so a non-nil load is at
+	// least as fresh as every commit that completed before this call.
+	if s := w.snap.Load(); s != nil {
+		return s
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.snapCached != nil && !w.snapAll && len(w.snapStale) == 0 {
-		return w.snapCached
+	if s := w.snap.Load(); s != nil {
+		return s
 	}
 	var pubStart time.Time
-	cloned := 0
 	if w.metrics != nil {
 		pubStart = time.Now()
 	}
-	if w.snapAll {
-		// Rebuild (or first publication): every relation version is stale,
-		// and relations dropped from the live database must leave the view.
-		fresh := map[string]*datalog.Relation{}
-		for _, name := range w.db.Names() {
-			if checkStatePred(name) {
-				continue
-			}
-			rel, _ := w.db.Get(name)
-			c := rel.Clone()
-			c.Freeze()
-			fresh[name] = c
-			cloned++
-		}
-		w.snapRels = fresh
-	} else {
-		if w.snapRels == nil {
-			w.snapRels = map[string]*datalog.Relation{}
-		}
-		for pred := range w.snapStale {
-			if checkStatePred(pred) {
-				continue
-			}
-			rel, ok := w.db.Get(pred)
-			if !ok {
-				delete(w.snapRels, pred)
-				continue
-			}
-			c := rel.Clone()
-			c.Freeze()
-			w.snapRels[pred] = c
-			cloned++
-		}
-	}
-	w.snapAll = false
-	w.snapStale = nil
-	w.snapVer++
+	cloned := 0
 	// The published database gets its own relation map: older snapshots
 	// keep whatever versions they were built from.
 	db := datalog.NewDatabase()
-	for _, r := range w.snapRels {
-		db.Put(r)
+	for _, name := range w.db.Names() {
+		if checkStatePred(name) {
+			continue
+		}
+		rel, _ := w.db.Get(name)
+		frozen, fresh := rel.Published()
+		if fresh {
+			cloned++
+		}
+		db.Put(frozen)
 	}
-	w.snapCached = &Snapshot{
+	s := &Snapshot{
 		principal: w.principal,
 		db:        db,
 		builtins:  w.builtins,
-		version:   w.snapVer,
 		limits:    w.queryLimits,
 		eval:      w.metrics.evalMetrics(),
 	}
 	if w.metrics != nil {
 		w.metrics.snapPublishSeconds.Observe(time.Since(pubStart))
-		w.metrics.snapRelsCloned.Add(int64(cloned))
+		w.metrics.relsCloned.Add(int64(cloned))
 	}
-	// Publish for the lock-free fast path: pointer first, then the clean
-	// flag, so a reader that observes clean=true loads this (or a newer)
-	// view. Writers marking dirty also hold w.mu, so nothing can
-	// interleave between these stores and the state they describe.
-	w.snapPtr.Store(w.snapCached)
-	w.snapClean.Store(true)
-	return w.snapCached
-}
-
-// markSnapStaleLocked records a committed flush's touched predicates so
-// the next Snapshot() re-clones exactly those relations. Caller holds
-// w.mu.
-func (w *Workspace) markSnapStaleLocked(changed map[string][]datalog.Tuple, rebuilt bool) {
-	if rebuilt {
-		w.snapAll = true
-		w.snapClean.Store(false)
-		return
-	}
-	if w.snapAll || len(changed) == 0 {
-		return
-	}
-	if w.snapStale == nil {
-		w.snapStale = map[string]struct{}{}
-	}
-	for pred := range changed {
-		w.snapStale[pred] = struct{}{}
-	}
-	w.snapClean.Store(false)
+	w.snap.Store(s)
+	return s
 }
 
 // queryAtom evaluates one parsed query atom against db under the

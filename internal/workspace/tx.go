@@ -117,7 +117,9 @@ func (w *Workspace) UpdateTraced(trace string, fn func(tx *Tx) error) (EvalStats
 	if !delta.Rebuilt {
 		delta.Changed = w.flushNew // merged with tx.changed by flushLocked
 	}
-	w.markSnapStaleLocked(delta.Changed, delta.Rebuilt)
+	if delta.Rebuilt || len(delta.Changed) > 0 {
+		w.snap.Store(nil)
+	}
 	var journal *FlushJournal
 	if w.journal != nil {
 		journal = &FlushJournal{
@@ -687,11 +689,10 @@ func (w *Workspace) registerDecl(d Decl) {
 // they will re-activate if still derivable.
 func (w *Workspace) rebuildDerivedLocked() error {
 	w.flushRebuilt = true
-	// The database is replaced wholesale: every published relation version
-	// is stale (rollbacks land here too — conservative, merely an extra
-	// clone on the next Snapshot call).
-	w.snapAll = true
-	w.snapClean.Store(false)
+	// The database is replaced wholesale, so every relation is new and the
+	// next Snapshot call clones them all (rollbacks land here too —
+	// conservative, merely extra clones).
+	w.snap.Store(nil)
 	fresh := datalog.NewDatabase()
 	for _, name := range w.base.Names() {
 		rel, _ := w.base.Get(name)

@@ -107,22 +107,14 @@ type Workspace struct {
 	// recompute derived state from base facts.
 	restoreRebuild bool
 
-	// Snapshot-read state (see snapshot.go): snapRels holds the frozen
-	// relation versions of the last published snapshot, snapStale the
-	// predicates flushed since then, snapAll that everything is stale (a
-	// rebuild or restore replaced the database wholesale), snapCached the
-	// current published view and snapVer its publication counter. All of
-	// these are guarded by w.mu; snapPtr/snapClean additionally publish
-	// the view atomically so readers whose cache is current never touch
+	// snap is the published snapshot view (see snapshot.go), or nil when
+	// a commit, rebuild, restore or settings change has made it stale; the
+	// next Snapshot() call then re-clones exactly the relations mutated
+	// since they were last published. It is stored only under w.mu and
+	// loaded without it, so readers whose view is current never touch
 	// w.mu at all (they must not stall behind an unrelated in-flight
 	// flush).
-	snapRels   map[string]*datalog.Relation
-	snapStale  map[string]struct{}
-	snapAll    bool
-	snapCached *Snapshot
-	snapVer    uint64
-	snapPtr    atomic.Pointer[Snapshot]
-	snapClean  atomic.Bool
+	snap atomic.Pointer[Snapshot]
 
 	// queryLimits bounds read-side work (Workspace.Query and snapshots
 	// published after SetLimits); flushLimits bounds write-side evaluation
@@ -271,7 +263,6 @@ func New(principal string) *Workspace {
 		active:            map[string]*ruleEntry{},
 		decls:             map[string]Decl{},
 		incrementalChecks: true,
-		snapAll:           true,
 	}
 	w.model = meta.NewModel(w.db)
 	w.userEv = datalog.NewEvaluator(w.db, w.builtins)
@@ -324,8 +315,7 @@ func (w *Workspace) SetLimits(query, flush datalog.Limits) {
 	w.flushLimits = flush
 	// Already-published snapshots carry the old query limits; force the
 	// next Snapshot() call to publish a fresh view.
-	w.snapAll = true
-	w.snapClean.Store(false)
+	w.snap.Store(nil)
 }
 
 // Limits returns the currently configured (query, flush) limits.
